@@ -43,9 +43,9 @@ impl Process for CounterProcess {
 pub struct FetchAddRenaming;
 
 impl FetchAddRenaming {
-    fn build(&self, n: usize) -> Vec<CounterProcess> {
+    fn build(&self, n: usize) -> impl Iterator<Item = CounterProcess> {
         let counter = Arc::new(AtomicUsize::new(0));
-        (0..n).map(|pid| CounterProcess { pid, counter: Arc::clone(&counter), limit: n }).collect()
+        (0..n).map(move |pid| CounterProcess { pid, counter: Arc::clone(&counter), limit: n })
     }
 }
 
@@ -75,7 +75,7 @@ impl RenamingAlgorithm for FetchAddRenaming {
         adversary: &mut dyn rr_sched::adversary::Adversary,
         arena: &mut rr_sched::dense::Arena,
     ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 

@@ -111,14 +111,15 @@ impl RenamingAlgorithm for LinearScan {
         adversary: &mut dyn rr_sched::adversary::Adversary,
         arena: &mut rr_sched::dense::Arena,
     ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
 impl LinearScan {
-    fn build(&self, n: usize) -> Vec<ScanProcess> {
+    fn build(&self, n: usize) -> impl Iterator<Item = ScanProcess> {
         let mem = Arc::new(AtomicTasArray::new(n));
-        (0..n).map(|pid| ScanProcess::new(pid, Arc::clone(&mem), self.start)).collect()
+        let start = self.start;
+        (0..n).map(move |pid| ScanProcess::new(pid, Arc::clone(&mem), start))
     }
 }
 

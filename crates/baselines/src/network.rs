@@ -240,14 +240,14 @@ impl RenamingAlgorithm for BitonicRenaming {
         adversary: &mut dyn rr_sched::adversary::Adversary,
         arena: &mut rr_sched::dense::Arena,
     ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
 impl BitonicRenaming {
-    fn build(&self, n: usize) -> Vec<NetworkProcess> {
+    fn build(&self, n: usize) -> impl Iterator<Item = NetworkProcess> {
         let shared = Arc::new(NetworkShared::new(ComparatorNetwork::bitonic(self.m(n))));
-        (0..n).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect()
+        (0..n).map(move |pid| NetworkProcess::new(pid, Arc::clone(&shared)))
     }
 }
 

@@ -172,12 +172,10 @@ impl RouteRenaming {
         self.stages.unwrap_or_else(|| self.topology.closed_form_depth(self.m(n)))
     }
 
-    fn build(&self, n: usize) -> Vec<NetworkProcess> {
+    fn build(&self, n: usize) -> impl Iterator<Item = NetworkProcess> {
         let net = route_network(self.topology, self.m(n), self.stages);
         let shared = Arc::new(NetworkShared::new(net));
-        (0..n)
-            .map(|pid| NetworkProcess::with_array(pid, Arc::clone(&shared), ROUTE_TAS_ARRAY))
-            .collect()
+        (0..n).map(move |pid| NetworkProcess::with_array(pid, Arc::clone(&shared), ROUTE_TAS_ARRAY))
     }
 }
 
@@ -210,7 +208,7 @@ impl RenamingAlgorithm for RouteRenaming {
         adversary: &mut dyn rr_sched::adversary::Adversary,
         arena: &mut rr_sched::dense::Arena,
     ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 
     fn run_dense_rng(
@@ -320,7 +318,7 @@ mod tests {
     #[test]
     fn single_process_percolates_to_wire_zero() {
         let algo = RouteRenaming { topology: RouteTopology::Benes, stages: None };
-        let mut procs = algo.build(1);
+        let mut procs: Vec<_> = algo.build(1).collect();
         // Alone, the process wins every switch and exits on wire 0 — but
         // it entered on wire 0, so route from a different wire directly.
         let net = route_network(RouteTopology::Benes, 8, None);
@@ -335,7 +333,7 @@ mod tests {
     #[test]
     fn announces_on_the_route_array() {
         let algo = RouteRenaming { topology: RouteTopology::Butterfly, stages: None };
-        let mut procs = algo.build(4);
+        let mut procs: Vec<_> = algo.build(4).collect();
         match procs[0].announce() {
             rr_shmem::Access::Tas { array, .. } => assert_eq!(array, ROUTE_TAS_ARRAY),
             other => panic!("unexpected announce {other:?}"),

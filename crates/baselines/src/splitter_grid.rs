@@ -245,14 +245,14 @@ impl RenamingAlgorithm for SplitterGrid {
         adversary: &mut dyn rr_sched::adversary::Adversary,
         arena: &mut rr_sched::dense::Arena,
     ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
 impl SplitterGrid {
-    fn build(&self, n: usize) -> Vec<GridProcess> {
+    fn build(&self, n: usize) -> impl Iterator<Item = GridProcess> {
         let shared = Arc::new(GridShared::new(n));
-        (0..n).map(|pid| GridProcess::new(pid, Arc::clone(&shared))).collect()
+        (0..n).map(move |pid| GridProcess::new(pid, Arc::clone(&shared)))
     }
 }
 

@@ -127,19 +127,17 @@ impl RenamingAlgorithm for UniformProbing {
         adversary: &mut dyn rr_sched::adversary::Adversary,
         arena: &mut rr_sched::dense::Arena,
     ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
 impl UniformProbing {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<UniformProcess> {
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> impl Iterator<Item = UniformProcess> {
         assert!(self.epsilon > 0.0, "uniform probing needs m > n");
         let mem = Arc::new(AtomicTasArray::new(self.m(n)));
         // W.h.p. bound is O(log n / log(1+ε)); budget 100× that.
         let budget = (100.0 * (n.max(2) as f64).log2() / (1.0 + self.epsilon).log2()).ceil() as u64;
-        (0..n)
-            .map(|pid| UniformProcess::with_rng(pid, seed, rng, Arc::clone(&mem), budget))
-            .collect()
+        (0..n).map(move |pid| UniformProcess::with_rng(pid, seed, rng, Arc::clone(&mem), budget))
     }
 }
 

@@ -302,14 +302,29 @@ impl AdaptiveRenaming {
         seed: u64,
         rng: RngMode,
     ) -> (Arc<AdaptiveShared>, Vec<AdaptiveProcess>) {
+        let (shared, procs) = self.build(k, max_n, seed, rng);
+        (shared, procs.collect())
+    }
+
+    /// The ladder and the `k` participants, yielded lazily in pid order
+    /// — the one construction path behind the collected
+    /// [`AdaptiveRenaming::instantiate_participants_rng`] and the boxed
+    /// `instantiate_rng`.
+    fn build(
+        &self,
+        k: usize,
+        max_n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> (Arc<AdaptiveShared>, impl Iterator<Item = AdaptiveProcess>) {
         assert!(k >= 1 && k <= max_n);
         // Segments up to 2^(⌈log₂ max_n⌉ + 1): one guess beyond max_n so
         // the w.h.p. straggler bound of the top segment has headroom.
         let max_guess_log = (usize::BITS - (max_n - 1).leading_zeros()).max(1) + 1;
         let shared = Arc::new(AdaptiveShared::new(AdaptiveLayout::new(max_guess_log)));
-        let procs = (0..k)
-            .map(|pid| AdaptiveProcess::with_rng(pid, seed, rng, Arc::clone(&shared)))
-            .collect();
+        let memory = Arc::clone(&shared);
+        let procs =
+            (0..k).map(move |pid| AdaptiveProcess::with_rng(pid, seed, rng, Arc::clone(&memory)));
         (shared, procs)
     }
 }
@@ -330,7 +345,7 @@ impl RenamingAlgorithm for AdaptiveRenaming {
 
     fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
         let m = self.m(n);
-        let (_shared, procs) = self.instantiate_participants_rng(n, n, seed, rng);
+        let (_shared, procs) = self.build(n, n, seed, rng);
         Instance { processes: crate::traits::boxed(procs), m, n }
     }
 

@@ -22,7 +22,8 @@ pub struct L8Process {
     pid: usize,
     rng: ProcessRng,
     shared: Arc<LooseShared>,
-    schedule: Lemma8Schedule,
+    /// Shared by every process of a run (it holds two vectors).
+    schedule: Arc<Lemma8Schedule>,
     /// Current phase, 0-based (`phase == phases` ⇒ exhausted).
     phase: u32,
     /// Probes spent within the current phase.
@@ -32,7 +33,12 @@ pub struct L8Process {
 
 impl L8Process {
     /// Process `pid` over `shared`, following `schedule`.
-    pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>, schedule: Lemma8Schedule) -> Self {
+    pub fn new(
+        pid: usize,
+        seed: u64,
+        shared: Arc<LooseShared>,
+        schedule: Arc<Lemma8Schedule>,
+    ) -> Self {
         Self::with_rng(pid, seed, RngMode::default(), shared, schedule)
     }
 
@@ -43,7 +49,7 @@ impl L8Process {
         seed: u64,
         rng: RngMode,
         shared: Arc<LooseShared>,
-        schedule: Lemma8Schedule,
+        schedule: Arc<Lemma8Schedule>,
     ) -> Self {
         Self {
             pid,
@@ -127,14 +133,14 @@ mod tests {
 
     fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<Box<dyn Process>>) {
         let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma8Schedule::new(n, ell);
+        let schedule = Arc::new(Lemma8Schedule::new(n, ell));
         let procs = (0..n)
             .map(|pid| {
                 Box::new(AlmostTight(L8Process::new(
                     pid,
                     seed,
                     Arc::clone(&shared),
-                    schedule.clone(),
+                    Arc::clone(&schedule),
                 ))) as Box<dyn Process>
             })
             .collect();
@@ -167,8 +173,8 @@ mod tests {
     fn probes_stay_inside_current_cluster() {
         let n = 256;
         let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma8Schedule::new(n, 1);
-        let mut p = L8Process::new(0, 9, Arc::clone(&shared), schedule.clone());
+        let schedule = Arc::new(Lemma8Schedule::new(n, 1));
+        let mut p = L8Process::new(0, 9, Arc::clone(&shared), Arc::clone(&schedule));
         // Fill every register so the process never wins and walks all
         // phases; check each announced index lies in the right cluster.
         for i in 0..n {

@@ -68,10 +68,11 @@ impl TightPlan {
     /// Builds the calibrated plan (see [`TightVariant::Calibrated`]).
     ///
     /// # Panics
-    /// Panics if `n < 2` or `c < 1`.
+    /// Panics if `n < 2`, `n > u32::MAX` or `c < 1`.
     pub fn calibrated(n: usize, c: u32) -> Self {
         assert!(n >= 2, "need at least two processes");
         assert!(c >= 1);
+        assert_u32_indices(n);
         let l = ceil_log2(n) as u32;
         let register_tau = Self::register_taus(n, l);
         let total_regs = register_tau.len();
@@ -106,6 +107,7 @@ impl TightPlan {
     pub fn paper_exact(n: usize, c: u32) -> Self {
         assert!(n >= 4, "Definition 2 needs log n ≥ 2");
         assert!(c >= 1);
+        assert_u32_indices(n);
         let l = ceil_log2(n) as u32;
         let register_tau = Self::register_taus(n, l);
         let total_regs = register_tau.len();
@@ -181,6 +183,12 @@ impl TightPlan {
     pub fn base_name(&self, r: usize) -> usize {
         r * self.l as usize
     }
+}
+
+/// Tight-renaming processes store register, bit, slot and round indices
+/// as `u32`; every one of them is below `n`.
+fn assert_u32_indices(n: usize) {
+    assert!(u32::try_from(n).is_ok(), "n = {n} exceeds the u32 indices of a tight process");
 }
 
 /// Round/step schedule of Lemma 6.

@@ -100,51 +100,49 @@ impl TauBatchHost for TightShared {
     }
 }
 
+// Register, bit, slot and round indices are `u32` (every one is below
+// `n`, which `TightPlan` bounds by `u32::MAX`): a million processes
+// carry these two enums, so their width is the run's footprint.
 #[derive(Debug, Clone, Copy)]
 enum Planned {
     Request {
-        reg: usize,
-        bit: usize,
+        reg: u32,
+        bit: u32,
     },
     Slot {
-        reg: usize,
-        slot: usize,
+        reg: u32,
+        slot: u32,
     },
     /// One-step read of a register's confirmed bit map (the paper allows
     /// reading all `2·log n` bits in one operation).
     Inspect {
-        reg: usize,
+        reg: u32,
     },
 }
 
 #[derive(Debug, Clone, Copy)]
 enum State {
     /// Probing cluster `round`.
-    Round { round: usize },
+    Round { round: u32 },
     /// Admitted at `reg`; scanning its name slots from `slot`.
-    Slots { reg: usize, slot: usize },
+    Slots { reg: u32, slot: u32 },
     /// Final-round sweep, register granularity: read `reg`'s confirmed
     /// map; if quota remains, drop into `SweepBits`.
-    Sweep { reg: usize, attempts: u64 },
+    Sweep { reg: u32, attempts: u64 },
     /// Requesting the lowest unset bit of `reg` recorded in `free` (a
     /// snapshot). Any lost attempt returns to `Sweep` on the *same*
     /// register for a fresh read: a loss means another process won
     /// meanwhile (stale snapshot), so re-reading is both correct and
     /// globally bounded — at most n losses can ever occur system-wide.
-    SweepBits { reg: usize, free: u64, attempts: u64 },
+    SweepBits { reg: u32, free: u64, attempts: u64 },
 }
 
-/// One §III process.
+/// One §III process. Its pid is its RNG's stream id, stored once.
 pub struct TightProcess {
-    pid: usize,
     rng: ProcessRng,
     shared: Arc<TightShared>,
     state: State,
     pending: Option<Planned>,
-    /// Fallback gives up after this many probes (≫ one full sweep; only
-    /// reachable if the w.h.p. guarantee failed *and* scheduling starved
-    /// the sweep repeatedly).
-    fallback_budget: u64,
 }
 
 impl TightProcess {
@@ -157,7 +155,6 @@ impl TightProcess {
     /// default mode is bit-identical to [`TightProcess::new`]; counter
     /// mode is the flagged modelling change (see `rr_shmem::rng`).
     pub fn with_rng(pid: usize, seed: u64, rng: RngMode, shared: Arc<TightShared>) -> Self {
-        let fallback_budget = 8 * shared.plan.total_bits() as u64;
         // The last cluster is the paper's "final round": processes
         // access its TAS bits systematically instead of randomly
         // ("the processes will access each of the TAS bits and
@@ -168,14 +165,14 @@ impl TightProcess {
         } else {
             State::Round { round: 0 }
         };
-        Self {
-            pid,
-            rng: ProcessRng::with_mode(rng, seed, pid),
-            shared,
-            state,
-            pending: None,
-            fallback_budget,
-        }
+        Self { rng: ProcessRng::with_mode(rng, seed, pid), shared, state, pending: None }
+    }
+
+    /// Fallback gives up after this many probes (≫ one full sweep; only
+    /// reachable if the w.h.p. guarantee failed *and* scheduling starved
+    /// the sweep repeatedly). The same for every process of a run.
+    fn fallback_budget(&self) -> u64 {
+        8 * self.shared.plan.total_bits() as u64
     }
 
     /// Entry state for the systematic final round: sweep backward from
@@ -183,16 +180,16 @@ impl TightProcess {
     /// concentrate at the end of the array — wrapping over the whole
     /// array only in the (w.h.p. never) case of earlier shortfalls.
     fn final_round_state(shared: &TightShared) -> State {
-        State::Sweep { reg: shared.registers.len() - 1, attempts: 0 }
+        State::Sweep { reg: shared.registers.len() as u32 - 1, attempts: 0 }
     }
 
     /// Advances the sweep cursor (backward, wrapping), respecting the
     /// attempt budget.
-    fn advance_sweep(&self, reg: usize, attempts: u64) -> Option<State> {
-        if attempts >= self.fallback_budget {
+    fn advance_sweep(&self, reg: u32, attempts: u64) -> Option<State> {
+        if attempts >= self.fallback_budget() {
             return None;
         }
-        let next = if reg == 0 { self.shared.registers.len() - 1 } else { reg - 1 };
+        let next = if reg == 0 { self.shared.registers.len() as u32 - 1 } else { reg - 1 };
         Some(State::Sweep { reg: next, attempts })
     }
 
@@ -200,17 +197,17 @@ impl TightProcess {
         let l2 = 2 * self.shared.plan.l as usize;
         match self.state {
             State::Round { round, .. } => {
-                let cluster = self.shared.plan.clusters[round];
+                let cluster = self.shared.plan.clusters[round as usize];
                 let idx = self.rng.index(cluster.registers * l2);
-                let reg = cluster.first_register + idx / l2;
-                let bit = idx % l2;
+                let reg = (cluster.first_register + idx / l2) as u32;
+                let bit = (idx % l2) as u32;
                 Planned::Request { reg, bit }
             }
             State::Slots { reg, slot } => Planned::Slot { reg, slot },
             State::Sweep { reg, .. } => Planned::Inspect { reg },
             State::SweepBits { reg, free, .. } => {
                 debug_assert!(free != 0, "SweepBits requires a candidate bit");
-                Planned::Request { reg, bit: free.trailing_zeros() as usize }
+                Planned::Request { reg, bit: free.trailing_zeros() }
             }
         }
     }
@@ -220,10 +217,10 @@ impl TightProcess {
     /// (which performed the request itself) and
     /// [`Process::step_claimed`] (whose outcome the executor claimed
     /// through a batched [`TauBatchHost::request_block`]).
-    fn finish_request(&mut self, reg: usize, won: bool) -> StepOutcome {
-        if let (State::Round { round, .. }, Some(rec)) = (&self.state, &self.shared.recorder) {
-            let cluster = self.shared.plan.clusters[*round];
-            rec.record(*round, reg - cluster.first_register);
+    fn finish_request(&mut self, reg: u32, won: bool) -> StepOutcome {
+        if let (&State::Round { round, .. }, Some(rec)) = (&self.state, &self.shared.recorder) {
+            let cluster = self.shared.plan.clusters[round as usize];
+            rec.record(round as usize, reg as usize - cluster.first_register);
         }
         if won {
             self.state = State::Slots { reg, slot: 0 };
@@ -231,7 +228,7 @@ impl TightProcess {
         }
         self.state = match self.state {
             State::Round { round } => {
-                if round + 1 < self.shared.plan.probing_rounds() {
+                if round as usize + 1 < self.shared.plan.probing_rounds() {
                     State::Round { round: round + 1 }
                 } else {
                     // Probing rounds exhausted: systematic final-round
@@ -245,7 +242,7 @@ impl TightProcess {
                 // register; if its quota is gone the sweep moves on,
                 // otherwise we get a fresh bit map.
                 let attempts = attempts + 1;
-                if attempts >= self.fallback_budget {
+                if attempts >= self.fallback_budget() {
                     return StepOutcome::GaveUp;
                 }
                 State::Sweep { reg, attempts }
@@ -265,11 +262,14 @@ impl Process for TightProcess {
             self.pending = Some(planned);
         }
         match self.pending.unwrap() {
-            Planned::Request { reg, bit } => Access::TauRequest { register: reg, bit },
-            Planned::Slot { reg, slot } => {
-                Access::Tas { array: 1, index: self.shared.plan.base_name(reg) + slot }
+            Planned::Request { reg, bit } => {
+                Access::TauRequest { register: reg as usize, bit: bit as usize }
             }
-            Planned::Inspect { reg } => Access::Read { array: 0, index: reg },
+            Planned::Slot { reg, slot } => Access::Tas {
+                array: 1,
+                index: self.shared.plan.base_name(reg as usize) + slot as usize,
+            },
+            Planned::Inspect { reg } => Access::Read { array: 0, index: reg as usize },
         }
     }
 
@@ -280,11 +280,11 @@ impl Process for TightProcess {
         };
         match planned {
             Planned::Request { reg, bit } => {
-                let won = self.shared.registers[reg].request_bit(bit);
+                let won = self.shared.registers[reg as usize].request_bit(bit as usize);
                 self.finish_request(reg, won)
             }
             Planned::Inspect { reg } => {
-                let register = &self.shared.registers[reg];
+                let register = &self.shared.registers[reg as usize];
                 let (attempts, cur) = match self.state {
                     State::Sweep { attempts, .. } => (attempts + 1, reg),
                     _ => unreachable!("inspections are planned only in Sweep state"),
@@ -302,15 +302,15 @@ impl Process for TightProcess {
                 StepOutcome::Continue
             }
             Planned::Slot { reg, slot } => {
-                if self.shared.registers[reg].try_slot(slot) {
-                    return StepOutcome::Done(self.shared.plan.base_name(reg) + slot);
+                let (r, s) = (reg as usize, slot as usize);
+                if self.shared.registers[r].try_slot(s) {
+                    return StepOutcome::Done(self.shared.plan.base_name(r) + s);
                 }
-                let tau = self.shared.plan.register_tau[reg] as usize;
                 let next = slot + 1;
                 assert!(
-                    next < tau,
+                    next < self.shared.plan.register_tau[r],
                     "admitted process {} found register {reg} full: τ-invariant broken",
-                    self.pid
+                    self.rng.pid()
                 );
                 self.state = State::Slots { reg, slot: next };
                 StepOutcome::Continue
@@ -319,7 +319,7 @@ impl Process for TightProcess {
     }
 
     fn pid(&self) -> Pid {
-        Pid::new(self.pid)
+        Pid::new(self.rng.pid())
     }
 
     fn tau_host(&self) -> Option<&dyn TauBatchHost> {
@@ -392,13 +392,29 @@ impl TightRenaming {
         seed: u64,
         rng: RngMode,
     ) -> (Arc<TightShared>, Vec<TightProcess>) {
+        let (shared, processes) = self.build(n, seed, rng);
+        (shared, processes.collect())
+    }
+
+    /// The shared memory of one run and its `n` processes, yielded
+    /// lazily in pid order — the one construction path behind both the
+    /// collected [`TightRenaming::instantiate_shared_rng`] and the boxed
+    /// `instantiate_rng`, so each process is built straight into its
+    /// final home and never copied out of an intermediate vector.
+    pub(crate) fn build(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> (Arc<TightShared>, impl Iterator<Item = TightProcess>) {
         let plan = match self.variant {
             TightVariant::Calibrated => TightPlan::calibrated(n, self.c),
             TightVariant::PaperExact => TightPlan::paper_exact(n, self.c),
         };
         let shared = Arc::new(TightShared::new(plan, self.record));
+        let memory = Arc::clone(&shared);
         let processes =
-            (0..n).map(|pid| TightProcess::with_rng(pid, seed, rng, Arc::clone(&shared))).collect();
+            (0..n).map(move |pid| TightProcess::with_rng(pid, seed, rng, Arc::clone(&memory)));
         (shared, processes)
     }
 }
@@ -406,12 +422,17 @@ impl TightRenaming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::RenamingAlgorithm;
+    use crate::traits::{boxed, RenamingAlgorithm};
     use rr_sched::adversary::{CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary};
     use rr_sched::virtual_exec::run;
 
-    fn boxed(procs: Vec<TightProcess>) -> Vec<Box<dyn Process + 'static>> {
-        procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect()
+    /// A million processes share the headline run: the struct must stay
+    /// in a 160-byte malloc chunk (152 bytes + the 8-byte chunk header)
+    /// when boxed, and 152 bytes apart in the dense backend's vector.
+    #[test]
+    fn tight_process_stays_compact() {
+        let size = std::mem::size_of::<TightProcess>();
+        assert!(size <= 152, "TightProcess is {size} bytes");
     }
 
     #[test]
@@ -501,9 +522,7 @@ mod tests {
     #[test]
     fn thread_mode_matches_model_semantics() {
         let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(64, 31);
-        let boxed: Vec<Box<dyn Process + Send>> =
-            procs.into_iter().map(|p| Box::new(p) as Box<dyn Process + Send>).collect();
-        let out = rr_sched::thread_exec::run_threads(boxed, 1 << 22);
+        let out = rr_sched::thread_exec::run_threads(boxed(procs), 1 << 22);
         out.verify_renaming(64).unwrap();
         assert_eq!(out.gave_up_count(), 0);
     }

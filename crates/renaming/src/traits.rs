@@ -19,10 +19,13 @@ use rr_sched::virtual_exec::{ExecError, RunOutcome};
 use rr_shmem::rng::RngMode;
 use std::sync::Arc;
 
-/// Boxes a homogeneous process vector — the compatibility shim between
-/// the typed builders the dense backend runs and the boxed
-/// [`Instance`] the historical executors consume.
-pub fn boxed<P: Process + 'static>(procs: Vec<P>) -> Vec<Box<dyn Process + Send>> {
+/// Boxes homogeneous processes — the compatibility shim between the
+/// typed builders the dense backend runs and the boxed [`Instance`] the
+/// historical executors consume. Given a factory's lazy builder, each
+/// process goes straight into its box, with no intermediate vector.
+pub fn boxed<P: Process + 'static>(
+    procs: impl IntoIterator<Item = P>,
+) -> Vec<Box<dyn Process + Send>> {
     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process + Send>).collect()
 }
 
@@ -150,7 +153,7 @@ impl RenamingAlgorithm for TightRenaming {
     }
 
     fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        let (_shared, procs) = self.instantiate_shared_rng(n, seed, rng);
+        let (_shared, procs) = self.build(n, seed, rng);
         Instance { processes: boxed(procs), m: n, n }
     }
 
@@ -185,20 +188,17 @@ pub struct LooseL6 {
 }
 
 impl LooseL6 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AlmostTight<L6Process>> {
+    fn build(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> impl Iterator<Item = AlmostTight<L6Process>> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma6Schedule::new(n, self.ell);
-        (0..n)
-            .map(|pid| {
-                AlmostTight(L6Process::with_rng(
-                    pid,
-                    seed,
-                    rng,
-                    Arc::clone(&shared),
-                    schedule.clone(),
-                ))
-            })
-            .collect()
+        (0..n).map(move |pid| {
+            AlmostTight(L6Process::with_rng(pid, seed, rng, Arc::clone(&shared), schedule.clone()))
+        })
     }
 }
 
@@ -241,7 +241,7 @@ impl RenamingAlgorithm for LooseL6 {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
@@ -253,20 +253,23 @@ pub struct LooseL8 {
 }
 
 impl LooseL8 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AlmostTight<L8Process>> {
+    fn build(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> impl Iterator<Item = AlmostTight<L8Process>> {
         let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma8Schedule::new(n, self.ell);
-        (0..n)
-            .map(|pid| {
-                AlmostTight(L8Process::with_rng(
-                    pid,
-                    seed,
-                    rng,
-                    Arc::clone(&shared),
-                    schedule.clone(),
-                ))
-            })
-            .collect()
+        let schedule = Arc::new(Lemma8Schedule::new(n, self.ell));
+        (0..n).map(move |pid| {
+            AlmostTight(L8Process::with_rng(
+                pid,
+                seed,
+                rng,
+                Arc::clone(&shared),
+                Arc::clone(&schedule),
+            ))
+        })
     }
 }
 
@@ -309,7 +312,7 @@ impl RenamingAlgorithm for LooseL8 {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
@@ -321,25 +324,28 @@ pub struct Cor7 {
 }
 
 impl Cor7 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Chain<L6Process, AagwProcess>> {
+    fn build(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> impl Iterator<Item = Chain<L6Process, AagwProcess>> {
         let primary = Arc::new(LooseShared::new(n));
         let spare_size = spare::cor7(n, self.ell);
         let spare_mem = Arc::new(SpareShared::new(n, spare_size));
         let schedule = Lemma6Schedule::new(n, self.ell);
         let plan = FinisherPlan::new(spare_size);
-        (0..n)
-            .map(|pid| {
-                let a = L6Process::with_rng(pid, seed, rng, Arc::clone(&primary), schedule.clone());
-                let b = AagwProcess::with_rng(
-                    pid,
-                    seed ^ 0x5eed,
-                    rng,
-                    Arc::clone(&spare_mem),
-                    plan.clone(),
-                );
-                Chain::new(a, b)
-            })
-            .collect()
+        (0..n).map(move |pid| {
+            let a = L6Process::with_rng(pid, seed, rng, Arc::clone(&primary), schedule.clone());
+            let b = AagwProcess::with_rng(
+                pid,
+                seed ^ 0x5eed,
+                rng,
+                Arc::clone(&spare_mem),
+                plan.clone(),
+            );
+            Chain::new(a, b)
+        })
     }
 }
 
@@ -378,7 +384,7 @@ impl RenamingAlgorithm for Cor7 {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
@@ -390,25 +396,29 @@ pub struct Cor9 {
 }
 
 impl Cor9 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Chain<L8Process, AagwProcess>> {
+    fn build(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> impl Iterator<Item = Chain<L8Process, AagwProcess>> {
         let primary = Arc::new(LooseShared::new(n));
         let spare_size = spare::cor9(n, self.ell);
         let spare_mem = Arc::new(SpareShared::new(n, spare_size));
-        let schedule = Lemma8Schedule::new(n, self.ell);
+        let schedule = Arc::new(Lemma8Schedule::new(n, self.ell));
         let plan = FinisherPlan::new(spare_size);
-        (0..n)
-            .map(|pid| {
-                let a = L8Process::with_rng(pid, seed, rng, Arc::clone(&primary), schedule.clone());
-                let b = AagwProcess::with_rng(
-                    pid,
-                    seed ^ 0x5eed,
-                    rng,
-                    Arc::clone(&spare_mem),
-                    plan.clone(),
-                );
-                Chain::new(a, b)
-            })
-            .collect()
+        (0..n).map(move |pid| {
+            let a =
+                L8Process::with_rng(pid, seed, rng, Arc::clone(&primary), Arc::clone(&schedule));
+            let b = AagwProcess::with_rng(
+                pid,
+                seed ^ 0x5eed,
+                rng,
+                Arc::clone(&spare_mem),
+                plan.clone(),
+            );
+            Chain::new(a, b)
+        })
     }
 }
 
@@ -447,7 +457,7 @@ impl RenamingAlgorithm for Cor9 {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 
@@ -457,20 +467,17 @@ impl RenamingAlgorithm for Cor9 {
 pub struct AagwLoose;
 
 impl AagwLoose {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AlmostTight<AagwProcess>> {
+    fn build(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+    ) -> impl Iterator<Item = AlmostTight<AagwProcess>> {
         let shared = Arc::new(SpareShared::new(0, 2 * n));
         let plan = FinisherPlan::new(2 * n);
-        (0..n)
-            .map(|pid| {
-                AlmostTight(AagwProcess::with_rng(
-                    pid,
-                    seed,
-                    rng,
-                    Arc::clone(&shared),
-                    plan.clone(),
-                ))
-            })
-            .collect()
+        (0..n).map(move |pid| {
+            AlmostTight(AagwProcess::with_rng(pid, seed, rng, Arc::clone(&shared), plan.clone()))
+        })
     }
 }
 
@@ -509,7 +516,7 @@ impl RenamingAlgorithm for AagwLoose {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng).collect::<Vec<_>>(), adversary, self.step_budget(n))
     }
 }
 

@@ -139,8 +139,8 @@ impl RunOutcome {
 /// out.verify_renaming(4).unwrap();
 /// assert_eq!(out.step_complexity(), 4); // pid 3: 3 waits + the claim
 /// ```
-pub fn run<A: Adversary + ?Sized>(
-    mut processes: Vec<Box<dyn Process + '_>>,
+pub fn run<A: Adversary + ?Sized, P: Process + ?Sized>(
+    mut processes: Vec<Box<P>>,
     adversary: &mut A,
     step_budget: u64,
 ) -> Result<RunOutcome, ExecError> {
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_trivial() {
-        let out = run(Vec::new(), &mut FairAdversary::default(), 10).unwrap();
+        let out = run(Vec::<Box<dyn Process>>::new(), &mut FairAdversary::default(), 10).unwrap();
         assert_eq!(out.decisions, 0);
         assert_eq!(out.step_complexity(), 0);
         out.verify_renaming(0).unwrap();

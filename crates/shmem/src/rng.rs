@@ -9,7 +9,13 @@
 //!   seed-portable across platforms (unlike `StdRng`, whose algorithm is
 //!   unspecified). This is the reproduction-grade mode: every committed
 //!   number and pinned step total was produced under it, and its draw
-//!   schedule is pinned bit-for-bit by the draws-per-step goldens.
+//!   schedule is pinned bit-for-bit by the draws-per-step goldens. It
+//!   yields exactly the words of the vendored
+//!   `ChaCha8Rng::seed_from_u64(seed)` on stream `pid`, but keeps only
+//!   the `u64` seed, the stream, a word position and the current block
+//!   (88 bytes instead of the full cipher's 120): the 32-byte key is the
+//!   same for every process of a run, so it is re-derived from the seed
+//!   at each block refill rather than stored a million times.
 //! * [`RngMode::Counter`] — a stateless SplitMix64-style mix of
 //!   `(seed, pid, draw counter)`. One 64-bit mix per draw instead of a
 //!   cipher block every 16 words, a cached coin block serving `coin()`
@@ -20,8 +26,8 @@
 //!   (`RunConfig --rng`, `BatchRun::rng_mode`, the scenario records)
 //!   carries the mode explicitly.
 
-use rand::rngs::ChaCha8Rng;
-use rand::{sample_exact, RngCore, RngExt, SeedableRng};
+use rand::rngs::{chacha8_block, chacha8_key};
+use rand::{sample_exact, RngCore, RngExt};
 
 /// Which pseudo-random backend a [`ProcessRng`] draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,6 +96,8 @@ struct CounterRng {
     /// Cached coin bits served LSB-first; refilled one mix per 64 flips.
     coin_block: u64,
     coin_left: u32,
+    /// The owning process id (`base` folds it in irreversibly).
+    pid: usize,
 }
 
 impl CounterRng {
@@ -97,7 +105,7 @@ impl CounterRng {
         // Finalize pid before folding it in so that (seed, pid) pairs
         // along either axis land in decorrelated counter ranges.
         let base = mix64(seed ^ mix64((pid as u64).wrapping_mul(GOLDEN) ^ 0x6A09_E667_F3BC_C909));
-        Self { base, ctr: 0, coin_block: 0, coin_left: 0 }
+        Self { base, ctr: 0, coin_block: 0, coin_left: 0, pid }
     }
 
     #[inline]
@@ -129,6 +137,40 @@ impl RngCore for CounterRng {
     }
 }
 
+/// The default backend: ChaCha8 stream `stream` of the key that
+/// `ChaCha8Rng::seed_from_u64(seed)` derives, word for word.
+///
+/// One `drawn` counter stands in for the cipher's block counter and
+/// read position: word `w` of the stream is word `w % 16` of block
+/// `w / 16`, so `block` holds block `drawn / 16` whenever `drawn % 16`
+/// is nonzero and the next draw computes a fresh block when it is zero.
+#[derive(Debug)]
+struct ChaChaStream {
+    seed: u64,
+    stream: u64,
+    /// 32-bit words served so far.
+    drawn: u64,
+    block: [u32; 16],
+}
+
+impl ChaChaStream {
+    fn new(seed: u64, stream: u64) -> Self {
+        Self { seed, stream, drawn: 0, block: [0; 16] }
+    }
+}
+
+impl RngCore for ChaChaStream {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        let at = (self.drawn % 16) as usize;
+        if at == 0 {
+            self.block = chacha8_block(&chacha8_key(self.seed), self.drawn / 16, self.stream);
+        }
+        self.drawn += 1;
+        self.block[at]
+    }
+}
+
 /// A process-private random stream.
 ///
 /// Fixes the derivation scheme — stream `pid` of seed `seed` — and
@@ -140,12 +182,11 @@ impl RngCore for CounterRng {
 #[derive(Debug)]
 pub struct ProcessRng {
     backend: Backend,
-    pid: usize,
 }
 
 #[derive(Debug)]
 enum Backend {
-    ChaCha8(ChaCha8Rng),
+    ChaCha8(ChaChaStream),
     Counter(CounterRng),
 }
 
@@ -160,19 +201,18 @@ impl ProcessRng {
     /// [`RngMode`].
     pub fn with_mode(mode: RngMode, seed: u64, pid: usize) -> Self {
         let backend = match mode {
-            RngMode::ChaCha8 => {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                rng.set_stream(pid as u64);
-                Backend::ChaCha8(rng)
-            }
+            RngMode::ChaCha8 => Backend::ChaCha8(ChaChaStream::new(seed, pid as u64)),
             RngMode::Counter => Backend::Counter(CounterRng::new(seed, pid)),
         };
-        Self { backend, pid }
+        Self { backend }
     }
 
     /// The owning process id.
     pub fn pid(&self) -> usize {
-        self.pid
+        match &self.backend {
+            Backend::ChaCha8(rng) => rng.stream as usize,
+            Backend::Counter(rng) => rng.pid,
+        }
     }
 
     /// The backend this stream draws from.
@@ -219,19 +259,8 @@ impl ProcessRng {
     /// the per-mode draw-schedule fingerprint the goldens pin.
     pub fn words_drawn(&self) -> u64 {
         match &self.backend {
-            Backend::ChaCha8(rng) => rng.words_consumed(),
+            Backend::ChaCha8(rng) => rng.drawn,
             Backend::Counter(rng) => rng.ctr,
-        }
-    }
-
-    /// Direct access for callers needing other distributions.
-    ///
-    /// # Panics
-    /// Panics in counter mode, which has no underlying stream cipher.
-    pub fn raw(&mut self) -> &mut ChaCha8Rng {
-        match &mut self.backend {
-            Backend::ChaCha8(rng) => rng,
-            Backend::Counter(_) => panic!("raw() is ChaCha8-only; counter mode has no cipher"),
         }
     }
 }
@@ -374,9 +403,54 @@ mod tests {
         ProcessRng::with_mode(RngMode::Counter, 0, 0).index(0);
     }
 
+    /// Every process of a run carries one `ProcessRng`; a regression
+    /// here multiplies by n = 2^20 in the headline run.
     #[test]
-    #[should_panic(expected = "ChaCha8-only")]
-    fn counter_mode_has_no_raw_cipher() {
-        let _ = ProcessRng::with_mode(RngMode::Counter, 0, 0).raw();
+    fn process_rng_stays_compact() {
+        assert!(std::mem::size_of::<ProcessRng>() <= 96, "{}", std::mem::size_of::<ProcessRng>());
+    }
+
+    mod parity {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::ChaCha8Rng;
+        use rand::SeedableRng;
+
+        proptest! {
+            /// The compact default backend draws exactly what the full
+            /// vendored cipher on stream `pid` draws: the same values
+            /// from mixed `index`/`coin` calls and the same word count,
+            /// across at least three block refills (≥ 48 words).
+            #[test]
+            fn compact_chacha_matches_the_vendored_cipher(
+                seed in any::<u64>(),
+                pid in 0usize..1 << 20,
+                draws in proptest::collection::vec((0u8..6, 1usize..usize::MAX), 48..96),
+            ) {
+                let mut compact = ProcessRng::new(seed, pid);
+                let mut full = ChaCha8Rng::seed_from_u64(seed);
+                full.set_stream(pid as u64);
+                for (kind, wide) in draws {
+                    // Coins, the index bounds the protocols use (small,
+                    // power-of-two, odd) and wide bounds that reject.
+                    let bound = match kind {
+                        0 => {
+                            let coin: bool = full.random();
+                            prop_assert_eq!(compact.coin(), coin);
+                            prop_assert_eq!(compact.words_drawn(), full.words_consumed());
+                            continue;
+                        }
+                        1 => 3,
+                        2 => 1000,
+                        3 => 1 << 20,
+                        _ => wide,
+                    };
+                    prop_assert_eq!(compact.index(bound), full.random_range(0..bound));
+                    prop_assert_eq!(compact.words_drawn(), full.words_consumed());
+                }
+                prop_assert!(compact.words_drawn() >= 48, "fewer than three refills");
+                prop_assert_eq!(compact.pid(), pid);
+            }
+        }
     }
 }
